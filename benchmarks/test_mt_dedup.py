@@ -78,7 +78,7 @@ def _ingest_dedup():
         pipeline = IngestPipeline(
             store, bug_suite_resolver(),
             admit_cache=AdmitCache(
-                root / "admit-cache.json",
+                store,
                 reverify_fraction=REVERIFY_FRACTION,
             ),
         )

@@ -306,7 +306,7 @@ def _cmd_ingest(args) -> int:
     pipeline = IngestPipeline(
         store, resolver_from_sources(sources),
         workers=args.workers, probe=not args.no_probe,
-        admit_cache=_admit_cache_for(args, args.store),
+        admit_cache=_admit_cache_for(args, store),
     )
     start = time.perf_counter()
     results = pipeline.ingest_paths(paths)
@@ -315,17 +315,15 @@ def _cmd_ingest(args) -> int:
     return 1 if pipeline.rejected else 0
 
 
-def _admit_cache_for(args, store_dir):
-    """The dedup-before-validate cache a batch command shares with any
-    service on the same store (``--no-admit-cache`` disables it)."""
+def _admit_cache_for(args, store):
+    """The dedup-before-validate cache over *store*, warm from every
+    earlier commit to it (``--no-admit-cache`` disables it)."""
     if getattr(args, "no_admit_cache", False):
         return None
-    from pathlib import Path
-
     from repro.fleet.admitcache import AdmitCache
 
     return AdmitCache(
-        Path(store_dir) / "admit-cache.json",
+        store,
         seed=getattr(args, "admit_seed", 0) or 0,
         reverify_fraction=getattr(args, "reverify_fraction", 0.05),
     )
@@ -537,7 +535,7 @@ def _cmd_fleet_sim(args) -> int:
     store = ReportStore(store_dir, num_shards=args.shards,
                         byte_budget=args.budget)
     pipeline = IngestPipeline(store, programs.get, workers=args.workers,
-                              admit_cache=_admit_cache_for(args, store_dir))
+                              admit_cache=_admit_cache_for(args, store))
     start = time.perf_counter()
     results = pipeline.ingest_many(items)
     elapsed = time.perf_counter() - start

@@ -29,34 +29,31 @@ Three properties keep the shortcut honest:
   with the cached outcome, the bucket's digest is quarantined: its
   entries are evicted, future outcomes for that digest are refused
   admission to the cache, and every subsequent upload of that bucket
-  takes the full validation path.  The quarantine set persists with
-  the cache and replicates through the same file.
+  takes the full validation path.  The quarantine set persists in
+  ``admit-quarantine.log`` in the store root, one appended line per
+  banned digest.
 
-Persistence is flock-safe like the store: a read-merge-write cycle
-under an exclusive lock, so concurrent writer processes (batch ingest
-beside a live service, two services on one store) never lose each
-other's entries.  Readers pick up foreign writes by mtime.
+The cache has no file of its own: it is an in-memory LRU derived from
+the :class:`~repro.fleet.store.ReportStore` it is opened over, whose
+commits persist each report's signature preimage (DESIGN.md §13).  It
+is rebuilt from the newest committed reports on open, and takes in
+other writers' commits when the store absorbs them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.fleet.signature import CrashSignature, route_digest
+from repro.fleet.store import ReportStore, StoredEntry
 from repro.fleet.validate import DECODE_ERRORS, ValidatedReport
 from repro.obs import REGISTRY
 from repro.tracing.serialize import load_report_header
-
-try:  # pragma: no cover - fcntl is present on every POSIX target
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None
 
 _CACHE_PROBES = REGISTRY.counter(
     "bugnet_admit_cache_total",
@@ -73,8 +70,9 @@ _QUARANTINES = REGISTRY.counter(
     "Buckets quarantined after a reverify mismatch (poisoned cache).",
 )
 
-#: On-disk format version; bump when the entry shape changes.
-_FORMAT = 1
+#: The quarantine log in the store root, and one well-formed line of it.
+QUARANTINE_FILE = "admit-quarantine.log"
+_DIGEST_LINE = re.compile(rb"[0-9a-f]{64}")
 
 
 def blob_fingerprint(blob: bytes) -> str:
@@ -138,34 +136,6 @@ class CachedOutcome:
             route_key=self.route_key,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "program_name": self.program_name,
-            "fault_kind": self.fault_kind,
-            "fault_pc": self.fault_pc,
-            "tail_pcs": list(self.tail_pcs),
-            "race_pcs": list(self.race_pcs),
-            "instructions": self.instructions,
-            "route_key": self.route_key,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CachedOutcome | None":
-        try:
-            return cls(
-                fingerprint=str(data["fingerprint"]),
-                program_name=str(data["program_name"]),
-                fault_kind=str(data["fault_kind"]),
-                fault_pc=int(data["fault_pc"]),
-                tail_pcs=tuple(int(pc) for pc in data["tail_pcs"]),
-                race_pcs=tuple(int(pc) for pc in data["race_pcs"]),
-                instructions=int(data["instructions"]),
-                route_key=str(data["route_key"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None  # a corrupt record drops; it cannot poison
-
     @classmethod
     def from_validated(cls, fingerprint: str,
                        validated: ValidatedReport) -> "CachedOutcome":
@@ -183,30 +153,32 @@ class CachedOutcome:
 
 
 class AdmitCache:
-    """Bounded, persistent, flock-safe validated-signature cache.
+    """Bounded validated-signature cache over a :class:`ReportStore`.
 
-    *path* is the cache file (conventionally ``admit-cache.json`` in
-    the store root, beside ``store.lock``).  *capacity* bounds the
-    entry count — least-recently-used entries evict first, which under
-    fleet traffic keeps the hot buckets resident.  *seed* and
+    *store* is the store the cache's outcomes commit to and are rebuilt
+    from; the cache subscribes to its ``on_absorb``.  *capacity* bounds
+    the entry count — least-recently-used entries evict first, which
+    under fleet traffic keeps the hot buckets resident.  *seed* and
     *reverify_fraction* parameterize the deterministic
     trust-but-verify sample; every node of a cluster must share the
     seed for the sample to be cluster-consistent."""
 
-    def __init__(self, path, capacity: int = 4096, seed: int = 0,
-                 reverify_fraction: float = 0.05) -> None:
-        self.path = Path(path)
+    def __init__(self, store: ReportStore, capacity: int = 4096,
+                 seed: int = 0, reverify_fraction: float = 0.05) -> None:
+        self.store = store
+        #: The quarantine log (what :meth:`flush` appends to).
+        self.path = store.root / QUARANTINE_FILE
         self.capacity = max(int(capacity), 1)
         self.seed = int(seed)
         self.reverify_fraction = float(reverify_fraction)
         self._entries: "OrderedDict[str, CachedOutcome]" = OrderedDict()
-        self._quarantined: "set[str]" = set()
-        self._loaded_mtime: "float | None" = None
+        self._quarantined: "set[str]" = self._read_quarantine()
+        self._unflushed: "list[str]" = []
         # One cache instance is shared by every in-process consumer
-        # (service chunk tasks run on executor threads); the flock only
-        # serializes *processes*.
+        # (service chunk tasks run on executor threads).
         self._mutex = threading.RLock()
-        self._load(merge=False)
+        self._absorb(store.entries())
+        store.on_absorb = self._absorb
 
     # -- probes --------------------------------------------------------------
 
@@ -221,7 +193,6 @@ class AdmitCache:
         is wrong — corrupt or poisoned — and such entries are dropped
         and counted rather than trusted."""
         with self._mutex:
-            self._maybe_reload()
             fingerprint = blob_fingerprint(blob)
             entry = self._entries.get(fingerprint)
             if entry is None:
@@ -236,11 +207,9 @@ class AdmitCache:
         try:
             report = load_report_header(blob)
         except DECODE_ERRORS:
-            with self._mutex:
-                self._entries.pop(fingerprint, None)
-            _CACHE_PROBES.labels("integrity-drop").inc()
-            return None
-        if (report.program_name != entry.program_name
+            report = None
+        if (report is None
+                or report.program_name != entry.program_name
                 or report.fault_kind != entry.fault_kind
                 or report.fault_pc != entry.fault_pc
                 or route_digest(report.program_name, report.fault_kind,
@@ -281,26 +250,20 @@ class AdmitCache:
 
     def record(self, fingerprint: str,
                validated: ValidatedReport) -> "CachedOutcome | None":
-        """Admit a full-validation outcome into the cache (in memory;
-        call :meth:`flush` to persist).  Quarantined buckets are
-        refused — once a digest misbehaved, every upload of it
-        revalidates until an operator clears the quarantine."""
+        """Admit a full-validation outcome into the cache (in memory:
+        the store commit of the report persists its preimage).
+        Quarantined buckets are refused — once a digest misbehaved,
+        every upload of it revalidates until an operator clears the
+        quarantine."""
         entry = CachedOutcome.from_validated(fingerprint, validated)
-        with self._mutex:
-            if entry.digest in self._quarantined:
-                return None
-            self._entries[fingerprint] = entry
-            self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return entry
+        return entry if self.seed_entry(entry) else None
 
     def seed_entry(self, entry: CachedOutcome) -> bool:
-        """Admit an entry that arrived from cluster replication.
+        """Admit an entry validated elsewhere (a replicated report).
 
         The digest is recomputed from the preimage by construction
-        (:attr:`CachedOutcome.digest`), so a replication message
-        cannot claim a digest its fields do not hash to."""
+        (:attr:`CachedOutcome.digest`), so an entry cannot claim a
+        digest its fields do not hash to."""
         with self._mutex:
             if entry.digest in self._quarantined:
                 return False
@@ -334,6 +297,7 @@ class AdmitCache:
         with self._mutex:
             if digest not in self._quarantined:
                 self._quarantined.add(digest)
+                self._unflushed.append(digest)
                 _QUARANTINES.inc()
             stale = [fp for fp, entry in self._entries.items()
                      if entry.digest == digest]
@@ -343,112 +307,98 @@ class AdmitCache:
 
     # -- persistence ---------------------------------------------------------
 
-    def _lock(self):
-        """Exclusive advisory flock on the cache's sidecar lock file
-        (mirrors the store's discipline; no-op where fcntl is
-        unavailable)."""
-        from contextlib import contextmanager
+    def _absorb(self, entries: "list[StoredEntry]") -> None:
+        """Fill free capacity from committed store entries (oldest
+        first): the newest with a usable preimage become the warmest,
+        cached outcomes keep their recency, and at most one blob per
+        free slot is read and hashed."""
+        preimages: "dict[int, dict]" = {}
+        with self._mutex:
+            room = self.capacity - len(self._entries)
+            for entry in reversed(entries):
+                if room <= 0:
+                    break
+                if entry.shard not in preimages:
+                    preimages[entry.shard] = by_digest = {}
+                    for digest, fault_pc, tail in self.store.preimages(
+                            entry.shard):
+                        by_digest.setdefault(digest, []).append(
+                            (fault_pc, tail))
+                outcome = self._outcome_of(entry, preimages[entry.shard])
+                if outcome is None:
+                    continue
+                room -= 1
+                if (outcome.fingerprint not in self._entries
+                        and outcome.digest not in self._quarantined):
+                    # Newest first, so each lands colder than the last.
+                    self._entries[outcome.fingerprint] = outcome
+                    self._entries.move_to_end(outcome.fingerprint,
+                                              last=False)
 
-        @contextmanager
-        def held():
-            if fcntl is None:  # pragma: no cover - non-POSIX
-                yield
-                return
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path.with_suffix(".lock"),
-                         os.O_CREAT | os.O_RDWR, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-                os.close(fd)
-
-        return held()
-
-    def _read_file(self) -> "tuple[OrderedDict, set, float | None]":
-        entries: "OrderedDict[str, CachedOutcome]" = OrderedDict()
-        quarantined: "set[str]" = set()
+    def _outcome_of(self, entry: StoredEntry,
+                    preimages: dict) -> "CachedOutcome | None":
+        """The outcome a stored report was committed with, or ``None``
+        when its shard's *preimages* (digest -> ``(fault_pc, tail_pcs)``)
+        lack it (committed without one, or the log is torn) or hold
+        several that fit its fault site."""
+        if not entry.route_key:
+            return None
+        fitting = [
+            (fault_pc, tail)
+            for fault_pc, tail in preimages.get(entry.digest, ())
+            if route_digest(entry.program_name, entry.fault_kind,
+                            fault_pc) == entry.route_key
+        ]
+        if len(fitting) != 1:
+            return None
         try:
-            stat = self.path.stat()
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return entries, quarantined, None
-        if not isinstance(data, dict) or data.get("format") != _FORMAT:
-            return entries, quarantined, stat.st_mtime
-        for raw in data.get("entries", ()):
-            if isinstance(raw, dict):
-                entry = CachedOutcome.from_json(raw)
-                if entry is not None:
-                    entries[entry.fingerprint] = entry
-        for digest in data.get("quarantined", ()):
-            if isinstance(digest, str):
-                quarantined.add(digest)
-        return entries, quarantined, stat.st_mtime
-
-    def _load(self, merge: bool) -> None:
-        disk_entries, disk_quarantined, mtime = self._read_file()
-        self._loaded_mtime = mtime
-        self._quarantined |= disk_quarantined
-        if merge:
-            # Our in-memory entries are newer: disk entries fill gaps
-            # only (inserted coldest-first), preserving our LRU recency.
-            for fingerprint, entry in disk_entries.items():
-                if fingerprint not in self._entries:
-                    self._entries[fingerprint] = entry
-                    self._entries.move_to_end(fingerprint, last=False)
-        else:
-            self._entries = disk_entries
-        self._entries = OrderedDict(
-            (fp, entry) for fp, entry in self._entries.items()
-            if entry.digest not in self._quarantined
+            blob = self.store.path_of(entry).read_bytes()
+        except OSError:  # evicted since the index was read
+            return None
+        (fault_pc, tail), = fitting
+        return CachedOutcome(
+            fingerprint=blob_fingerprint(blob),
+            program_name=entry.program_name,
+            fault_kind=entry.fault_kind,
+            fault_pc=fault_pc,
+            tail_pcs=tail,
+            race_pcs=entry.race_pcs,
+            instructions=entry.replay_window,
+            route_key=entry.route_key,
         )
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
-    def _maybe_reload(self) -> None:
-        """Pick up foreign writers' entries (another service, a batch
-        ingest, a replicating peer) by mtime — a stat per probe, not a
-        read."""
+    def _read_quarantine(self) -> "set[str]":
+        """Banned digests from the quarantine log; a torn or corrupt
+        line is skipped (a cold start for it, not a crash)."""
         try:
-            mtime = self.path.stat().st_mtime
+            data = self.path.read_bytes()
         except OSError:
-            return
-        if mtime != self._loaded_mtime:
-            self._load(merge=True)
+            return set()
+        return {line.decode() for line in data.split(b"\n")
+                if _DIGEST_LINE.fullmatch(line)}
 
     def flush(self) -> None:
-        """Persist via read-merge-write under the flock: concurrent
-        writer processes union their entries and quarantines instead
-        of last-writer-wins clobbering."""
-        with self._mutex, self._lock():
-            disk_entries, disk_quarantined, _mtime = self._read_file()
-            self._quarantined |= disk_quarantined
-            merged: "OrderedDict[str, CachedOutcome]" = OrderedDict()
-            for source in (disk_entries, self._entries):
-                for fingerprint, entry in source.items():
-                    merged.pop(fingerprint, None)
-                    merged[fingerprint] = entry
-            merged = OrderedDict(
-                (fp, entry) for fp, entry in merged.items()
-                if entry.digest not in self._quarantined
-            )
-            while len(merged) > self.capacity:
-                merged.popitem(last=False)
-            payload = {
-                "format": _FORMAT,
-                "entries": [entry.to_json() for entry in merged.values()],
-                "quarantined": sorted(self._quarantined),
-            }
-            temp = self.path.with_name(
-                self.path.name + f".{os.getpid()}.tmp")
-            temp.write_text(json.dumps(payload), encoding="utf-8")
-            os.replace(temp, self.path)
-            self._entries = merged
+        """Append quarantines not yet persisted to the quarantine log,
+        one line each in a single write (the log always exists after a
+        flush)."""
+        with self._mutex:
+            payload = b"".join(f"{digest}\n".encode()
+                               for digest in self._unflushed)
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND,
+                         0o644)
             try:
-                self._loaded_mtime = self.path.stat().st_mtime
-            except OSError:  # pragma: no cover - unlinked beneath us
-                self._loaded_mtime = None
+                if payload:
+                    size = os.fstat(fd).st_size
+                    if size and os.pread(fd, 1, size - 1) != b"\n":
+                        # A torn line a killed writer left would swallow
+                        # the first ban; start on a fresh line.
+                        payload = b"\n" + payload
+                    os.write(fd, payload)
+                if self.store.fsync:
+                    os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._unflushed = []
 
     # -- introspection -------------------------------------------------------
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import weakref
 
 from repro.fleet.cluster.topology import (
     ClusterSpec,
@@ -184,18 +185,32 @@ def reconcile(metrics: dict, stats: dict) -> "list[str]":
     return mismatches
 
 
+#: Idle connections of triage reads, per event loop and node address:
+#: a reader polling every few tens of milliseconds would otherwise pay
+#: a TCP connect and accept per node per read.
+_IDLE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 async def fetch_node_buckets(member: NodeSpec) -> "dict | None":
-    """One node's ``buckets`` response (with its epoch), or None."""
-    client = ServiceClient(member.host, member.port)
-    try:
-        response = await client.request({"op": "buckets"})
-    except (ConnectionError, OSError, FrameError, asyncio.TimeoutError):
-        return None
-    finally:
-        await client.close()
-    if response.get("status") != "ok":
-        return None
-    return response
+    """One node's ``buckets`` response (with its epoch), or None.
+
+    Reuses an idle connection to the node when one is open; one that
+    went stale (the node restarted) is dropped for a fresh one."""
+    idle = _IDLE.setdefault(asyncio.get_running_loop(), {}).setdefault(
+        (member.host, member.port), [])
+    while True:
+        reused = bool(idle)
+        client = idle.pop() if reused else ServiceClient(member.host,
+                                                         member.port)
+        try:
+            response = await client.request({"op": "buckets"})
+        except (ConnectionError, OSError, FrameError, asyncio.TimeoutError):
+            await client.close()
+            if reused:
+                continue
+            return None
+        idle.append(client)
+        return response if response.get("status") == "ok" else None
 
 
 async def cluster_buckets(spec: ClusterSpec) -> "list[dict]":

@@ -57,8 +57,10 @@ from __future__ import annotations
 import asyncio
 import functools
 import hashlib
+from operator import attrgetter
 from pathlib import Path
 
+from repro.fleet.admitcache import CachedOutcome, blob_fingerprint
 from repro.fleet.cluster.topology import (
     ClusterSpec,
     GossipState,
@@ -109,6 +111,7 @@ _STALE_EPOCHS = REGISTRY.counter(
 _EPOCH_GATED_OPS = frozenset(
     {"gossip", "replicate", "sync-digests", "fetch-report", "buckets"}
 )
+_UPLOAD_ID = attrgetter("upload_id")
 
 
 class ClusterNodeService(FleetService):
@@ -471,10 +474,11 @@ class ClusterNodeService(FleetService):
             "program_name": entry.program_name,
             "race_pcs": list(entry.race_pcs),
             "route_key": entry.route_key,
-            # Additive (an older node ignores them): the signature
-            # preimage the replica needs to seed its admit cache, so a
-            # duplicate of this report hitting *any* replica commits
-            # without replay (DESIGN.md §13).
+            # Additive (an older node ignores them): the rest of the
+            # signature preimage, committed with the replica's copy so
+            # its admit cache holds the report too and a duplicate
+            # hitting *any* replica commits without replay (DESIGN.md
+            # §13).
             "fault_pc": signature.fault_pc,
             "tail_pcs": list(signature.tail_pcs),
         }, validated.blob)
@@ -563,6 +567,8 @@ class ClusterNodeService(FleetService):
         existing = self.store.entry_for_upload(upload_id)
         if existing is not None:
             return {"status": "ok", "duplicate": True, "seq": existing.seq}
+        outcome = (_replicated_outcome(header, body)
+                   if self.admit_cache is not None else None)
         loop = asyncio.get_running_loop()
         entry = await loop.run_in_executor(None, functools.partial(
             self.store.add,
@@ -575,36 +581,15 @@ class ClusterNodeService(FleetService):
             upload_id=upload_id,
             race_pcs=tuple(header.get("race_pcs", ()) or ()),
             route_key=str(header.get("route_key", "")),
+            fault_pc=outcome.fault_pc if outcome is not None else None,
+            tail_pcs=outcome.tail_pcs if outcome is not None else (),
         ))
         self._bump("replicated_in", _REPLICATED.labels("in"))
-        self._seed_admit_cache(header, body)
+        if outcome is not None and self.admit_cache is not None:
+            # In memory only: the commit above persisted the preimage,
+            # which is all a restart needs to rebuild the entry.
+            self.admit_cache.seed_entry(outcome)
         return {"status": "ok", "duplicate": False, "seq": entry.seq}
-
-    def _seed_admit_cache(self, header: dict, body: bytes) -> None:
-        """Seed this replica's admit cache from a replicate push that
-        carries the coordinator's validated signature preimage — cache
-        coherence rides replication, no extra protocol round-trip."""
-        if self.admit_cache is None or "tail_pcs" not in header:
-            return
-        from repro.fleet.admitcache import CachedOutcome, blob_fingerprint
-
-        entry = CachedOutcome.from_json({
-            "fingerprint": blob_fingerprint(body),
-            "program_name": header.get("program_name", ""),
-            "fault_kind": header.get("fault_kind", ""),
-            "fault_pc": header.get("fault_pc"),
-            "tail_pcs": header.get("tail_pcs", ()),
-            "race_pcs": header.get("race_pcs", ()) or (),
-            "instructions": header.get("replay_window", 0),
-            "route_key": header.get("route_key", ""),
-        })
-        if entry is None or entry.digest != str(header.get("digest", "")):
-            # A preimage that does not hash to the digest the blob was
-            # committed under would let cache-hit commits diverge from
-            # the replicated copy — drop it, the full path still works.
-            return
-        if self.admit_cache.seed_entry(entry):
-            self.admit_cache.flush()
 
     def _handle_sync_digests(self, header: dict) -> dict:
         ranges = header.get("ranges")
@@ -667,16 +652,11 @@ class ClusterNodeService(FleetService):
         for quorum reads: a partitioned or dropped member keeps
         answering, but its stale epoch flags the answer instead of
         letting it pollute the merge."""
-        upload_ids: "dict[str, list[str]]" = {}
-        for entry in self.store.entries():
-            if entry.upload_id:
-                upload_ids.setdefault(entry.digest, []).append(
-                    entry.upload_id
-                )
         buckets = []
         for bucket in build_buckets(self.store):
             payload = bucket.to_dict()
-            payload["upload_ids"] = sorted(upload_ids.get(bucket.digest, ()))
+            payload["upload_ids"] = sorted(
+                filter(None, map(_UPLOAD_ID, bucket.entries)))
             buckets.append(payload)
         return {"status": "ok", "node": self.node_id,
                 "epoch": self.spec.epoch, "buckets": buckets}
@@ -805,3 +785,28 @@ class ClusterNodeService(FleetService):
         payload = super().stats()
         payload["cluster"] = self._cluster_view()
         return payload
+
+
+def _replicated_outcome(header: dict, body: bytes) -> "CachedOutcome | None":
+    """The validated outcome a replicate push carries (the
+    coordinator's signature preimage), or ``None`` when it carries none
+    or one that does not hash to the pushed digest — cache hits would
+    then diverge from the replicated copy."""
+    if "tail_pcs" not in header:
+        return None
+    try:
+        outcome = CachedOutcome(
+            fingerprint=blob_fingerprint(body),
+            program_name=str(header.get("program_name", "")),
+            fault_kind=str(header.get("fault_kind", "")),
+            fault_pc=int(header["fault_pc"]),
+            tail_pcs=tuple(int(pc) for pc in header["tail_pcs"]),
+            race_pcs=tuple(int(pc) for pc in header.get("race_pcs") or ()),
+            instructions=int(header.get("replay_window", 0)),
+            route_key=str(header.get("route_key", "")),
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+    if outcome.digest != str(header.get("digest", "")):
+        return None
+    return outcome

@@ -45,9 +45,8 @@ _INGEST_OUTCOMES = _OBS.counter(
     ("outcome",),
 )
 
-#: Backward-compatible aliases (this module's original names).
+#: Backward-compatible alias (this module's original name).
 _DECODE_ERRORS = DECODE_ERRORS
-_Validated = ValidatedReport
 
 
 class IngestPipeline:
@@ -103,16 +102,7 @@ class IngestPipeline:
         for start in range(0, len(validated), self.commit_batch):
             chunk = validated[start: start + self.commit_batch]
             entries.extend(self.store.add_many([
-                {
-                    "digest": item.signature.digest,
-                    "blob": item.blob,
-                    "replay_window": item.instructions,
-                    "fault_kind": item.fault_kind,
-                    "program_name": item.program_name,
-                    "observed_at": item.observed_at,
-                    "race_pcs": item.signature.race_pcs,
-                    "route_key": item.route_key,
-                }
+                item.commit_item(preimage=self.admit_cache is not None)
                 for item in chunk
             ]))
         return [
@@ -198,7 +188,6 @@ class IngestPipeline:
                 validated = list(pool.map(
                     lambda it: self._validate(*it), pending_items
                 ))
-        dirty = False
         for (position, item), outcome in zip(pending, validated):
             outcomes[position] = outcome
             if cache is None:
@@ -206,12 +195,11 @@ class IngestPipeline:
             expected = reverify.get(position)
             if expected is not None:
                 self.reverified += 1
-                # quarantine-on-mismatch flushes inside the cache; the
+                # quarantine-on-mismatch persists inside the cache; the
                 # full validation's outcome is authoritative either way.
                 cache.reverify_outcome(expected, outcome)
             elif isinstance(outcome, ValidatedReport):
-                if cache.record(blob_fingerprint(item[1]), outcome):
-                    dirty = True
+                cache.record(blob_fingerprint(item[1]), outcome)
         for position, (fingerprint, leader) in deferred.items():
             label, blob, observed_at = items[position]
             leader_outcome = outcomes[leader]
@@ -227,8 +215,6 @@ class IngestPipeline:
                 outcomes[position] = IngestResult(
                     label, False, leader_outcome.reason
                 )
-        if dirty:
-            cache.flush()
         committed = iter(self._commit_batch(
             [o for o in outcomes if isinstance(o, ValidatedReport)]
         ))

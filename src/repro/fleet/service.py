@@ -51,8 +51,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from pathlib import Path
-
 from repro.fleet.admitcache import AdmitCache, blob_fingerprint
 from repro.fleet.signature import DEFAULT_TAIL_DEPTH
 from repro.fleet.store import ReportStore
@@ -273,11 +271,11 @@ class FleetService:
         returns the bound (host, port)."""
         self.store = ReportStore(self.store_root, **self._store_options)
         if self.config.admit_cache:
-            # Lives in the store root beside store.json, so batch
-            # ingest against the same store shares the entries and a
-            # replicating cluster node seeds its peers' files.
+            # Derived from the store: rebuilt from its committed
+            # preimages, so batch ingest against the same store and
+            # replicated commits warm it with no file of its own.
             self.admit_cache = AdmitCache(
-                Path(self.store_root) / "admit-cache.json",
+                self.store,
                 capacity=self.config.admit_capacity,
                 seed=self.config.admit_seed,
                 reverify_fraction=self.config.reverify_fraction,
@@ -602,23 +600,19 @@ class FleetService:
         finally:
             self._active_validations -= len(pending)
             self._slots.release()
-        dirty = False
         for position, outcome in zip(pending_positions, outcomes):
             settled[position] = outcome
             if cache is None:
                 continue
             expected = reverify.get(position)
             if expected is not None:
-                # Mismatch quarantines the bucket (and flushes) inside
-                # the cache; the full validation stays authoritative.
+                # Mismatch quarantines the bucket (and persists the ban)
+                # inside the cache; the full validation stays
+                # authoritative.
                 cache.reverify_outcome(expected, outcome)
             elif isinstance(outcome, ValidatedReport):
-                if cache.record(
-                    blob_fingerprint(chunk[position].blob), outcome
-                ):
-                    dirty = True
-        if dirty:
-            await loop.run_in_executor(None, cache.flush)
+                # In memory only: the commit persists the preimage.
+                cache.record(blob_fingerprint(chunk[position].blob), outcome)
         for position, admitted in enumerate(chunk):
             self._sequenced[admitted.ticket] = (admitted, settled[position])
         await self._drain_sequenced()
@@ -659,20 +653,9 @@ class FleetService:
         self, batch: "list[tuple[_Admitted, ValidatedReport]]"
     ) -> None:
         loop = asyncio.get_running_loop()
-        items = [
-            {
-                "digest": validated.signature.digest,
-                "blob": validated.blob,
-                "replay_window": validated.instructions,
-                "fault_kind": validated.fault_kind,
-                "program_name": validated.program_name,
-                "observed_at": validated.observed_at,
-                "upload_id": admitted.upload_id,
-                "race_pcs": validated.signature.race_pcs,
-                "route_key": validated.route_key,
-            }
-            for admitted, validated in batch
-        ]
+        items = [validated.commit_item(admitted.upload_id,
+                                       self.admit_cache is not None)
+                 for admitted, validated in batch]
         try:
             # Always off the event loop: add_many takes flocks that a
             # concurrent writer process (batch ingest, second serve)

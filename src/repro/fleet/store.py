@@ -3,13 +3,15 @@
 Layout on disk::
 
     <root>/
-        store.json            # shard count, ring replicas, seq counter,
-                              # byte budget, eviction counters
+        store.json            # shard count, ring replicas, byte budget,
+                              # eviction counters (not per commit)
         store.lock            # global flock: seq allocation, eviction, meta
         seq                   # authoritative next-sequence counter
+        admit-quarantine.log  # admit-cache quarantine bans (admitcache.py)
         shard-00/
             .lock             # per-shard flock: blob + index writes
             index.bin         # per-shard binary index (magic BGSI)
+            preimages.bin     # per-shard signature preimages (magic BGSP)
             00000007-<sig12>.bugnet
         shard-01/
             ...
@@ -22,29 +24,21 @@ everything (the classic argument; ``shard_of`` is the whole mechanism).
 All reports of one signature land in one shard, so a triage worker can
 scan buckets shard-locally.
 
-Concurrency and crash model (DESIGN.md §8):
-
-* Sequence numbers are allocated from the ``seq`` file under the global
-  ``flock``, so concurrent writer *processes* never collide.
-* Blob and index writes for a shard happen under that shard's
-  ``flock``; blobs land via write-to-temp + ``os.replace`` (never a
-  partial blob under a final name) and a batch's index records are
-  appended with a single ``write()``.
-* Before appending, a writer re-validates the index tail from its last
-  synced offset: records another live writer appended are absorbed
-  into the in-memory view, and a torn tail left by a killed writer is
-  truncated away (the torn record's report was never acknowledged).
-* On open the store drops partial trailing index records, sweeps
-  orphaned blobs and stale temp files, and recovers the sequence
-  counter — ``tests/test_store_concurrency.py`` SIGKILLs writers
-  mid-commit and asserts exactly this.
-* Metadata (``store.json``) is rewritten atomically (temp + rename)
-  under the global lock, merging the on-disk sequence high-water mark.
-
-Durability: a completed ``add``/``add_many`` survives process death
-(SIGKILL) because every byte has reached the page cache in commit
-order; pass ``fsync=True`` to also survive OS/power failure at a
-per-commit fsync cost.
+Concurrency and crash model (DESIGN.md §8).  A commit costs O(batch),
+not O(store).  Sequence numbers come from the ``seq`` file, rewritten
+in place under the global ``flock``.  Under a shard's ``flock`` blobs
+are written straight to their final names, then the batch's new
+preimage records and its index records are appended with one
+``write()`` each; the index append is the commit point.  Before
+appending, a writer absorbs records other live writers appended
+(reporting them to ``on_absorb``) and truncates a torn tail a killed
+writer left.  On open the store drops partial trailing records, sweeps
+unindexed blobs and temp files, and recovers the sequence counter as
+the maximum of ``seq``, ``store.json`` and the indexes
+(``tests/test_store_concurrency.py`` SIGKILLs writers mid-commit).
+``store.json`` is rewritten (temp + rename) only on creation, eviction,
+or a new budget or retention window.  A completed ``add``/``add_many``
+survives process death; ``fsync=True`` extends that to OS/power failure.
 
 The per-shard index is a compact binary file (no pickle, same
 discipline as :mod:`repro.tracing.serialize`), append-only on ingest
@@ -57,6 +51,12 @@ re-replaying anything; format v4 adds the cluster routing key
 (``route_key``, the replay-free digest cluster nodes place reports
 by).  v1–v3 indexes read transparently and are upgraded in place on
 first append.
+
+The per-shard preimage log holds the rest of each signature's
+preimage (``fault_pc``, ``tail_pcs``) once per distinct preimage, not
+per report; it is append-only with the index's torn-tail discipline
+and read lazily (:meth:`ReportStore.preimages`), so opening the store
+and triage never touch it.  The admit cache is rebuilt from it.
 
 Retention mirrors :class:`~repro.tracing.backing.LogStore`: a byte
 budget over the stored blobs, exceeded → evict the globally oldest
@@ -73,10 +73,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import io
 import json
 import os
 import struct
+import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,105 +171,37 @@ class StoredEntry:
         return (self.observed_at, self.seq)
 
 
-def _write_u32(out: io.BytesIO, value: int) -> None:
-    out.write(_U32.pack(value & 0xFFFFFFFF))
+#: Fixed prefix of every index record: digest, seq, observed_at,
+#: byte_size, replay_window.
+_RECORD_PREFIX = struct.Struct("<32sQQIQ")
+_INDEX_HEADER = _INDEX_MAGIC + _U32.pack(_INDEX_VERSION)
+_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
 
 
-def _write_u64(out: io.BytesIO, value: int) -> None:
-    out.write(_U64.pack(value & 0xFFFFFFFFFFFFFFFF))
-
-
-def _write_str(out: io.BytesIO, text: str) -> None:
+def _pack_text(text: str) -> bytes:
     data = text.encode("utf-8")
-    _write_u32(out, len(data))
-    out.write(data)
-
-
-class _IndexReader:
-    def __init__(self, data: bytes) -> None:
-        self._view = memoryview(data)
-        self._pos = 0
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        return len(self._view) - self._pos
-
-    def u32(self) -> int:
-        if self.remaining < 4:
-            raise LogDecodeError("truncated shard index")
-        value = _U32.unpack_from(self._view, self._pos)[0]
-        self._pos += 4
-        return value
-
-    def u64(self) -> int:
-        if self.remaining < 8:
-            raise LogDecodeError("truncated shard index")
-        value = _U64.unpack_from(self._view, self._pos)[0]
-        self._pos += 8
-        return value
-
-    def raw(self, length: int) -> bytes:
-        data = bytes(self._view[self._pos: self._pos + length])
-        if len(data) != length:
-            raise LogDecodeError("truncated shard index")
-        self._pos += length
-        return data
-
-    def text(self) -> str:
-        return self.raw(self.u32()).decode("utf-8")
+    return _U32.pack(len(data)) + data
 
 
 def _pack_entry(entry: StoredEntry) -> bytes:
-    out = io.BytesIO()
-    out.write(bytes.fromhex(entry.digest))     # 32 raw digest bytes
-    _write_u64(out, entry.seq)
-    _write_u64(out, entry.observed_at)
-    _write_u32(out, entry.byte_size)
-    _write_u64(out, entry.replay_window)
-    _write_str(out, entry.fault_kind)
-    _write_str(out, entry.program_name)
-    _write_str(out, entry.filename)
-    _write_str(out, entry.upload_id)           # v2 addition
-    _write_u32(out, len(entry.race_pcs))       # v3 addition
-    for pc in entry.race_pcs:
-        _write_u64(out, pc)
-    _write_str(out, entry.route_key)           # v4 addition
-    return out.getvalue()
+    race_pcs = [pc & _M64 for pc in entry.race_pcs]
+    return b"".join((
+        _RECORD_PREFIX.pack(
+            bytes.fromhex(entry.digest), entry.seq & _M64,
+            entry.observed_at & _M64, entry.byte_size & _M32,
+            entry.replay_window & _M64),
+        _pack_text(entry.fault_kind),
+        _pack_text(entry.program_name),
+        _pack_text(entry.filename),
+        _pack_text(entry.upload_id),                   # v2 addition
+        _U32.pack(len(race_pcs)),                      # v3 addition
+        struct.pack(f"<{len(race_pcs)}Q", *race_pcs),
+        _pack_text(entry.route_key),                   # v4 addition
+    ))
 
 
-def _unpack_entry(reader: _IndexReader, shard: int,
-                  version: int) -> StoredEntry:
-    digest = reader.raw(32).hex()
-    seq = reader.u64()
-    observed_at = reader.u64()
-    byte_size = reader.u32()
-    replay_window = reader.u64()
-    fault_kind = reader.text()
-    program_name = reader.text()
-    filename = reader.text()
-    upload_id = reader.text() if version >= 2 else ""
-    race_pcs: tuple[int, ...] = ()
-    if version >= 3:
-        race_pcs = tuple(reader.u64() for _ in range(reader.u32()))
-    route_key = reader.text() if version >= 4 else ""
-    return StoredEntry(
-        digest=digest,
-        seq=seq,
-        observed_at=observed_at,
-        byte_size=byte_size,
-        replay_window=replay_window,
-        fault_kind=fault_kind,
-        program_name=program_name,
-        filename=filename,
-        upload_id=upload_id,
-        race_pcs=race_pcs,
-        route_key=route_key,
-        shard=shard,
-    )
+class _Torn(Exception):
+    """A record runs past the end of the data (torn tail)."""
 
 
 def _parse_records(data: bytes, shard: int, version: int,
@@ -277,18 +210,87 @@ def _parse_records(data: bytes, shard: int, version: int,
     offset just past the last **complete** record.  A partial trailing
     record (torn write from a killed writer) is dropped: the report it
     described was never acknowledged."""
-    reader = _IndexReader(data)
+    view = memoryview(data)
+    end = len(view)
+    unpack_u32 = _U32.unpack_from
+
+    def counted(pos: int, width: int) -> "tuple[int, int]":
+        """The u32 count at *pos*, and the end of the *width*-byte
+        items it counts."""
+        if end - pos < 4:
+            raise _Torn
+        count = unpack_u32(view, pos)[0]
+        if end - pos - 4 < width * count:
+            raise _Torn
+        return count, pos + 4 + width * count
+
+    def text(pos: int) -> "tuple[str, int]":
+        length, stop = counted(pos, 1)
+        return str(view[stop - length:stop], "utf-8"), stop
+
     entries: list[StoredEntry] = []
-    valid = 0
-    while reader.remaining:
+    pos = valid = 0
+    while end - pos >= _RECORD_PREFIX.size:
         try:
-            entries.append(_unpack_entry(reader, shard, version))
-        except (LogDecodeError, UnicodeDecodeError):
+            digest, seq, observed_at, byte_size, replay_window = \
+                _RECORD_PREFIX.unpack_from(view, pos)
+            fault_kind, pos = text(pos + _RECORD_PREFIX.size)
+            program_name, pos = text(pos)
+            filename, pos = text(pos)
+            upload_id, race_pcs, route_key = "", (), ""
+            if version >= 2:
+                upload_id, pos = text(pos)
+            if version >= 3:
+                count, stop = counted(pos, 8)
+                race_pcs = struct.unpack_from(f"<{count}Q", view, pos + 4)
+                pos = stop
+            if version >= 4:
+                route_key, pos = text(pos)
+        except (_Torn, UnicodeDecodeError):
             # Short read, or a length prefix pointing into garbage that
             # is not valid UTF-8: both are the torn-record case.
             break
-        valid = reader.position
+        entries.append(StoredEntry(
+            digest=digest.hex(), seq=seq, observed_at=observed_at,
+            byte_size=byte_size, replay_window=replay_window,
+            fault_kind=fault_kind, program_name=program_name,
+            filename=filename, upload_id=upload_id, race_pcs=race_pcs,
+            route_key=route_key, shard=shard,
+        ))
+        valid = pos
     return entries, base_offset + valid
+
+
+#: Preimage log: header, then one record per distinct (digest,
+#: fault_pc, tail_pcs) of the shard — digest, fault_pc, tail length,
+#: then the tail PCs.
+_PREIMAGE_HEADER = b"BGSP" + _U32.pack(1)
+_PREIMAGE_PREFIX = struct.Struct("<32sQI")
+
+
+def _pack_preimage(digest: str, fault_pc: int,
+                   tail_pcs: "tuple[int, ...]") -> bytes:
+    return (_PREIMAGE_PREFIX.pack(bytes.fromhex(digest), fault_pc,
+                                  len(tail_pcs))
+            + struct.pack(f"<{len(tail_pcs)}Q", *tail_pcs))
+
+
+def _parse_preimages(data: bytes) -> "tuple[list[tuple], int]":
+    """``(digest, fault_pc, tail_pcs)`` records, and the length of the
+    complete ones (a torn tail is not included)."""
+    view = memoryview(data)
+    end = len(view)
+    prefix = _PREIMAGE_PREFIX.size
+    records = []
+    pos = 0
+    while end - pos >= prefix:
+        digest, fault_pc, count = _PREIMAGE_PREFIX.unpack_from(view, pos)
+        if end - pos - prefix < 8 * count:
+            break
+        tail = struct.unpack_from(f"<{count}Q", view, pos + prefix)
+        pos += prefix + 8 * count
+        records.append((digest.hex(), fault_pc, tail))
+    return records, pos
 
 
 class ReportStore:
@@ -306,7 +308,9 @@ class ReportStore:
         self.root = Path(root)
         self.fsync = fsync
         meta_path = self.root / "store.json"
-        if meta_path.exists():
+        created = not meta_path.exists()
+        reconfigured = False
+        if not created:
             meta = json.loads(meta_path.read_text())
             # Ring shape is a property of the store on disk, not of the
             # opener: honoring a different shard count here would send
@@ -337,6 +341,10 @@ class ReportStore:
                 retention_window if retention_window is not None
                 else meta.get("retention_window")
             )
+            reconfigured = (
+                self.byte_budget != meta.get("byte_budget")
+                or self.retention_window != meta.get("retention_window")
+            )
         else:
             if num_shards is None:
                 num_shards = DEFAULT_NUM_SHARDS
@@ -354,6 +362,13 @@ class ReportStore:
             self.root.mkdir(parents=True, exist_ok=True)
         self._pending_rollups: list[StoredEntry] = []
         self._ring = self._build_ring()
+        # Serializes in-memory view updates between threads of one
+        # process (a cluster node commits and replicates on executor
+        # threads); the flocks serialize the files.
+        self._view_lock = threading.Lock()
+        #: Called with the records other writers committed each time
+        #: this view absorbs them (the admit cache subscribes).
+        self.on_absorb: Callable[[list[StoredEntry]], None] | None = None
         self._entries: list[StoredEntry] = []
         self._shard_versions: dict[int, int] = {}
         self._index_synced: dict[int, int] = {}
@@ -362,6 +377,10 @@ class ReportStore:
         # reliable "another writer rewrote this shard" signal even when
         # the rewritten file is not smaller than our synced offset.
         self._index_inode: dict[int, "int | None"] = {}
+        # Per-shard preimage log view, loaded on first use: the distinct
+        # (digest, fault_pc, tail_pcs) records, and the offset parsed.
+        self._preimages: "dict[int, set[tuple]]" = {}
+        self._preimage_synced: dict[int, int] = {}
         for shard in range(self.num_shards):
             # Read and sweep each shard under its lock in one critical
             # section: sweeping against a separately-taken snapshot
@@ -371,19 +390,13 @@ class ReportStore:
                 shard_entries = self._read_shard_index(shard)
                 self._sweep_shard(shard, shard_entries)
             self._entries.extend(shard_entries)
-        self._entries.sort(key=lambda entry: entry.seq)
-        if self._entries:
-            # store.json is written after the index append; recover the
-            # counter if a crash landed between the two.
-            self._next_seq = max(self._next_seq, self._entries[-1].seq + 1)
+        # store.json is not rewritten per commit: the counter's
+        # high-water mark is the larger of the seq file and the indexes.
         self._next_seq = max(self._next_seq, self._read_seq_file())
-        self._upload_index: dict[str, StoredEntry] = {
-            entry.upload_id: entry
-            for entry in self._entries if entry.upload_id
-        }
-        self.total_bytes = sum(entry.byte_size for entry in self._entries)
-        if not meta_path.exists():
-            self._write_meta()
+        self._reindex()
+        if created or reconfigured:
+            with self._global_lock():
+                self._write_meta()
 
     def _sweep_shard(self, shard: int,
                      entries: "list[StoredEntry]") -> None:
@@ -410,8 +423,11 @@ class ReportStore:
         if fcntl is None:  # pragma: no cover - non-POSIX
             yield
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+        except FileNotFoundError:  # first lock of a new shard directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
             with _FLOCK_WAIT_SECONDS.time():
                 fcntl.flock(fd, fcntl.LOCK_EX)
@@ -455,11 +471,7 @@ class ReportStore:
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
         temp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        with open(temp, "wb") as handle:
-            handle.write(data)
-            if self.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+        self._write_file(temp, data)
         os.replace(temp, path)
 
     def _read_seq_file(self) -> int:
@@ -469,14 +481,38 @@ class ReportStore:
         except (OSError, ValueError):
             return 0
 
+    def _write_file(self, path: Path, data: bytes,
+                    mode: int = os.O_TRUNC) -> None:
+        """Write (or with ``os.O_APPEND``, append) *data* to *path* with
+        plain syscalls.  A blob goes straight to its final name: the
+        open-time sweep removes one a killed writer never indexed."""
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | mode, 0o644)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if self.fsync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+
     def _alloc_seqs(self, count: int) -> int:
         """Reserve *count* store-global sequence numbers (cross-process
         safe: read-modify-write of the ``seq`` file under the global
-        lock)."""
+        lock), rewritten in place: open-time recovery also consults
+        the indexes, so it needs no temp + rename."""
         with self._global_lock():
-            start = max(self._next_seq, self._read_seq_file())
-            self._atomic_write(self.root / "seq", str(start + count).encode())
-        self._next_seq = start + count
+            fd = os.open(self.root / "seq", os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                try:
+                    on_disk = int(os.pread(fd, 32, 0) or 0)
+                except ValueError:
+                    on_disk = 0
+                start = max(self._next_seq, on_disk)
+                os.pwrite(fd, b"%020d" % (start + count), 0)
+            finally:
+                os.close(fd)
+            self._next_seq = start + count
         return start
 
     def _read_shard_index(self, shard: int) -> list[StoredEntry]:
@@ -506,105 +542,79 @@ class ReportStore:
         last sync, and truncate any torn tail a killed writer left.
         Caller holds the shard lock."""
         path = self._index_path(shard)
-        if not path.exists():
+        try:
+            stat = path.stat()
+        except FileNotFoundError:
             self._index_synced[shard] = 0
             self._index_inode[shard] = None
             return
-        stat = path.stat()
-        size = stat.st_size
-        synced = self._index_synced.get(shard, 0)
-        if stat.st_ino != self._index_inode.get(shard):
-            # The file was replaced wholesale (another writer's
-            # eviction rewrite or v1 upgrade): our synced offset refers
-            # to the old inode's bytes, so reload from scratch — delta
-            # parsing from a stale offset would read mid-record
-            # garbage even when the new file happens to be larger.
+        size, synced = stat.st_size, self._index_synced.get(shard, 0)
+        if stat.st_ino != self._index_inode.get(shard) or size < synced:
+            # Created or replaced (eviction rewrite, legacy upgrade) by
+            # another writer, or (defensively) shrunk: our offset refers
+            # to other bytes, and delta parsing from it would read
+            # mid-record garbage.  Reload from scratch.
             self._reload_shard(shard)
-            return
-        if synced < _HEADER_SIZE:
-            # Another process created this shard's index since we
-            # opened: validate its header before parsing records, and
-            # never treat the header bytes as a record.
-            header = path.read_bytes()[:_HEADER_SIZE]
-            if header[:4] != _INDEX_MAGIC:
-                raise LogDecodeError(f"bad shard index magic in {path}")
-            version = _U32.unpack_from(header, 4)[0]
-            if not 1 <= version <= _INDEX_VERSION:
-                raise LogDecodeError(
-                    f"unsupported shard index version {version}"
-                )
-            self._shard_versions[shard] = version
-            synced = self._index_synced[shard] = _HEADER_SIZE
-        if size == synced:
-            return
-        if size < synced:
-            # Defensive: with replace-based rewrites a same-inode
-            # shrink should be impossible (torn-tail truncation never
-            # cuts below any live writer's synced offset), but a full
-            # reload is always safe.
-            self._reload_shard(shard)
-            return
-        with open(path, "rb") as handle:
-            handle.seek(synced)
-            delta = handle.read()
-        entries, valid_end = _parse_records(
-            delta, shard, self._shard_versions.get(shard, _INDEX_VERSION),
-            synced,
-        )
-        if valid_end < size:
+        elif size > synced:
+            with open(path, "rb") as handle:
+                handle.seek(synced)
+                delta = handle.read()
+            entries, self._index_synced[shard] = _parse_records(
+                delta, shard,
+                self._shard_versions.get(shard, _INDEX_VERSION), synced,
+            )
+            self._track(entries)
+            if entries and self.on_absorb is not None:
+                self.on_absorb(entries)
+        if self._index_synced[shard] < size:
             # Torn tail from a killed writer: drop it before appending,
             # or every later record in this shard would misparse.
             with open(path, "r+b") as handle:
-                handle.truncate(valid_end)
-        for entry in entries:
-            self._entries.append(entry)
-            self.total_bytes += entry.byte_size
-            if entry.upload_id:
-                self._upload_index[entry.upload_id] = entry
-            self._next_seq = max(self._next_seq, entry.seq + 1)
-        if entries:
-            self._entries.sort(key=lambda entry: entry.seq)
-        self._index_synced[shard] = valid_end
+                handle.truncate(self._index_synced[shard])
 
-    def _reload_shard(self, shard: int) -> None:
-        """Replace the in-memory view of one shard with a fresh read of
-        its index file (caller holds the shard lock)."""
-        fresh = self._read_shard_index(shard)
-        self._entries = (
-            [e for e in self._entries if e.shard != shard] + fresh
-        )
+    def _reindex(self) -> None:
+        """Sort the in-memory view and recompute what derives from it."""
         self._entries.sort(key=lambda entry: entry.seq)
-        self.total_bytes = sum(e.byte_size for e in self._entries)
+        self.total_bytes = sum(entry.byte_size for entry in self._entries)
         self._upload_index = {
             entry.upload_id: entry
             for entry in self._entries if entry.upload_id
         }
-        for entry in fresh:
-            self._next_seq = max(self._next_seq, entry.seq + 1)
+        self._by_digest: dict[str, list[StoredEntry]] = {}
+        for entry in self._entries:
+            self._by_digest.setdefault(entry.digest, []).append(entry)
+        if self._entries:
+            self._next_seq = max(self._next_seq, self._entries[-1].seq + 1)
 
-    def _upgrade_shard_legacy(self, shard: int) -> None:
-        """Rewrite a v1/v2 shard index at the current version (caller
-        holds the shard lock).  Reads the file itself — not the
-        in-memory view — so a concurrent writer's records survive the
-        upgrade."""
-        entries = self._read_shard_index(shard)
-        out = io.BytesIO()
-        out.write(_INDEX_MAGIC)
-        _write_u32(out, _INDEX_VERSION)
-        for entry in entries:
-            out.write(_pack_entry(entry))
-        data = out.getvalue()
-        self._atomic_write(self._index_path(shard), data)
-        self._shard_versions[shard] = _INDEX_VERSION
-        self._index_synced[shard] = len(data)
-        self._index_inode[shard] = self._index_path(shard).stat().st_ino
-        # The reload above replaced parse state; refresh the in-memory
-        # entries for this shard to the just-written set.
-        self._entries = (
-            [e for e in self._entries if e.shard != shard] + entries
-        )
-        self._entries.sort(key=lambda entry: entry.seq)
-        self.total_bytes = sum(e.byte_size for e in self._entries)
+    def _track(self, entries: "list[StoredEntry]") -> None:
+        """Add committed entries to the in-memory view in seq order (an
+        append, unless absorbed records already hold higher seqs)."""
+        with self._view_lock:
+            for entry in entries:
+                for view in (self._entries,
+                             self._by_digest.setdefault(entry.digest, [])):
+                    if view and view[-1].seq > entry.seq:
+                        bisect.insort(view, entry, key=lambda known: known.seq)
+                    else:
+                        view.append(entry)
+                self.total_bytes += entry.byte_size
+                if entry.upload_id:
+                    self._upload_index[entry.upload_id] = entry
+                self._next_seq = max(self._next_seq, entry.seq + 1)
+
+    def _reload_shard(self, shard: int) -> None:
+        """Replace the in-memory view of one shard with a fresh read of
+        its index file (caller holds the shard lock)."""
+        known = {e.seq for e in self._entries if e.shard == shard}
+        fresh = self._read_shard_index(shard)
+        with self._view_lock:
+            self._entries = (
+                [e for e in self._entries if e.shard != shard] + fresh
+            )
+            self._reindex()
+        absorbed = [entry for entry in fresh if entry.seq not in known]
+        if absorbed and self.on_absorb is not None:
+            self.on_absorb(absorbed)
 
     def _append_shard_records(self, shard: int,
                               entries: "list[StoredEntry]") -> None:
@@ -612,48 +622,100 @@ class ReportStore:
         Caller holds the shard lock and has run _absorb_and_repair."""
         path = self._index_path(shard)
         payload = b"".join(_pack_entry(entry) for entry in entries)
-        if not path.exists():
-            self._atomic_write(
-                path, _INDEX_MAGIC + _U32.pack(_INDEX_VERSION) + payload
-            )
-            self._index_synced[shard] = _HEADER_SIZE + len(payload)
-            self._shard_versions[shard] = _INDEX_VERSION
-            self._index_inode[shard] = path.stat().st_ino
-            return
-        if self._shard_versions.get(shard, _INDEX_VERSION) < _INDEX_VERSION:
-            self._upgrade_shard_legacy(shard)
-        with open(path, "ab") as handle:
-            handle.write(payload)
-            if self.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+        if (self._index_inode.get(shard) is None or self._shard_versions.get(
+                shard, _INDEX_VERSION) < _INDEX_VERSION):
+            # A new index gets its header; a v1–v3 index is upgraded in
+            # place (the absorb just before made our view complete).
+            self._rewrite_shard_index(shard)
+        self._write_file(path, payload, os.O_APPEND)
         self._index_synced[shard] = self._index_synced.get(shard, 0) + len(payload)
 
+    # -- preimage log ------------------------------------------------------
+
+    def _preimage_path(self, shard: int) -> Path:
+        return self._shard_dir(shard) / "preimages.bin"
+
+    def _sync_preimages(self, shard: int, fd: int) -> int:
+        """Parse the preimage records appended to *fd* since this view
+        last read it; returns the file size.  ``_preimage_synced`` ends
+        at the last complete record — 0 while the header is missing or
+        bad, so a corrupt log reads as empty."""
+        size = os.fstat(fd).st_size
+        synced = self._preimage_synced.get(shard, 0)
+        if size < synced:  # reset by a writer that found it corrupt
+            self._preimages.pop(shard, None)
+            synced = 0
+        known = self._preimages.setdefault(shard, set())
+        if not synced and os.pread(fd, _HEADER_SIZE, 0) == _PREIMAGE_HEADER:
+            synced = _HEADER_SIZE
+        if synced and size > synced:
+            records, valid = _parse_preimages(
+                os.pread(fd, size - synced, synced))
+            known.update(records)
+            synced += valid
+        self._preimage_synced[shard] = synced
+        return size
+
+    def preimages(self, shard: int) -> "set[tuple]":
+        """One shard's distinct ``(digest, fault_pc, tail_pcs)`` signature
+        preimages (a race-keyed digest can have several, one per fault
+        site).  Read lazily and without the shard lock: only complete
+        records count."""
+        try:
+            fd = os.open(self._preimage_path(shard), os.O_RDONLY)
+        except FileNotFoundError:
+            return set(self._preimages.get(shard, ()))
+        try:
+            self._sync_preimages(shard, fd)
+        finally:
+            os.close(fd)
+        return set(self._preimages[shard])
+
+    def _append_preimages(self, shard: int, records: "list[tuple]") -> None:
+        """Append the ``(digest, fault_pc, tail_pcs)`` records the shard's
+        log lacks, with one write (caller holds the shard lock).  No file
+        call at all when the loaded view already has them."""
+        if shard in self._preimages:
+            records = [r for r in records if r not in self._preimages[shard]]
+        if not records:
+            return
+        fd = os.open(self._preimage_path(shard),
+                     os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            size = self._sync_preimages(shard, fd)
+            synced = self._preimage_synced[shard]
+            if synced < size:
+                # Torn tail from a killed writer (or a corrupt header):
+                # drop it, or every later record would misparse.
+                os.ftruncate(fd, synced)
+            known = self._preimages[shard]
+            records = [r for r in dict.fromkeys(records) if r not in known]
+            if records:
+                payload = (b"" if synced else _PREIMAGE_HEADER) + b"".join(
+                    _pack_preimage(*record) for record in records)
+                os.write(fd, payload)
+                if self.fsync:
+                    os.fsync(fd)
+                self._preimage_synced[shard] = synced + len(payload)
+                known.update(records)
+        finally:
+            os.close(fd)
+
     def _rewrite_shard_index(self, shard: int) -> None:
-        out = io.BytesIO()
-        out.write(_INDEX_MAGIC)
-        _write_u32(out, _INDEX_VERSION)
-        for entry in self._entries:
-            if entry.shard == shard:
-                out.write(_pack_entry(entry))
-        data = out.getvalue()
+        data = _INDEX_HEADER + b"".join(
+            _pack_entry(entry) for entry in self._entries
+            if entry.shard == shard)
         self._atomic_write(self._index_path(shard), data)
         self._shard_versions[shard] = _INDEX_VERSION
         self._index_synced[shard] = len(data)
         self._index_inode[shard] = self._index_path(shard).stat().st_ino
 
     def _write_meta(self) -> None:
-        disk_next = 0
-        meta_path = self.root / "store.json"
-        if meta_path.exists():
-            try:
-                disk_next = json.loads(meta_path.read_text()).get("next_seq", 0)
-            except (OSError, ValueError):
-                disk_next = 0
-        self._atomic_write(meta_path, (json.dumps({
+        """Rewrite ``store.json`` (caller holds the global lock)."""
+        self._atomic_write(self.root / "store.json", (json.dumps({
             "num_shards": self.num_shards,
             "ring_replicas": self.ring_replicas,
-            "next_seq": max(self._next_seq, disk_next),
+            "next_seq": self._next_seq,
             "byte_budget": self.byte_budget,
             "retention_window": self.retention_window,
             "evicted_reports": self.evicted_reports,
@@ -673,6 +735,8 @@ class ReportStore:
         upload_id: str = "",
         race_pcs: "tuple[int, ...]" = (),
         route_key: str = "",
+        fault_pc: "int | None" = None,
+        tail_pcs: "tuple[int, ...]" = (),
     ) -> StoredEntry:
         """Store one validated report blob under its signature digest.
 
@@ -691,6 +755,8 @@ class ReportStore:
             "upload_id": upload_id,
             "race_pcs": race_pcs,
             "route_key": route_key,
+            "fault_pc": fault_pc,
+            "tail_pcs": tail_pcs,
         }])[0]
 
     def add_many(self, items: "list[dict]") -> "list[StoredEntry]":
@@ -698,10 +764,13 @@ class ReportStore:
 
         Each item is a dict with ``digest`` and ``blob`` (required) and
         optional ``replay_window``, ``fault_kind``, ``program_name``,
-        ``observed_at``, ``upload_id``, ``race_pcs``.  The batch gets consecutive
-        sequence numbers, per-shard writes take each shard lock once,
-        and the metadata/eviction pass runs once — the commit-batching
-        the ingestion service relies on.  Entries are durable against
+        ``observed_at``, ``upload_id``, ``race_pcs``, ``route_key``, and
+        the rest of the signature preimage (``fault_pc``, ``tail_pcs``;
+        persisted once per distinct preimage when ``fault_pc`` is
+        given).  The batch gets consecutive sequence numbers, per-shard
+        writes take each shard lock once, and the eviction pass (when a
+        budget or window applies) runs once — the commit-batching the
+        ingestion service relies on.  Entries are durable against
         process death when this returns (and against OS crash with
         ``fsync=True``).
         """
@@ -714,6 +783,7 @@ class ReportStore:
         start = self._alloc_seqs(len(items))
         new_entries: list[StoredEntry] = []
         by_shard: dict[int, list[tuple[StoredEntry, bytes]]] = {}
+        preimages: dict[int, list[tuple]] = {}
         for offset, item in enumerate(items):
             seq = start + offset
             digest = item["digest"]
@@ -738,35 +808,40 @@ class ReportStore:
             )
             new_entries.append(entry)
             by_shard.setdefault(shard, []).append((entry, blob))
+            if item.get("fault_pc") is not None:
+                preimages.setdefault(shard, []).append((
+                    digest, int(item["fault_pc"]),
+                    tuple(int(pc) for pc in item.get("tail_pcs", ())),
+                ))
         for shard in sorted(by_shard):
             shard_dir = self._shard_dir(shard)
-            shard_dir.mkdir(parents=True, exist_ok=True)
             with self._shard_lock(shard):
                 self._absorb_and_repair(shard)
                 for entry, blob in by_shard[shard]:
-                    self._atomic_write(shard_dir / entry.filename, blob)
+                    self._write_file(shard_dir / entry.filename, blob)
+                self._append_preimages(shard, preimages.get(shard, []))
                 self._append_shard_records(
                     shard, [entry for entry, _ in by_shard[shard]]
                 )
-        for entry in new_entries:
-            self._entries.append(entry)
-            self.total_bytes += entry.byte_size
-            if entry.upload_id:
-                self._upload_index[entry.upload_id] = entry
-        self._entries.sort(key=lambda entry: entry.seq)
-        with self._global_lock():
-            # Protect by sequence number, not object identity: an
-            # absorb reload inside eviction replaces entry objects,
-            # and the batch must stay protected across that.
-            protect = {entry.seq for entry in new_entries}
-            if self.byte_budget is not None:
-                while (self.total_bytes > self.byte_budget
-                       and self._evict_oldest(protect)):
-                    pass
-            if self.retention_window is not None:
-                self._apply_retention(protect)
-            self._flush_rollups()
-            self._write_meta()
+        self._track(new_entries)
+        over_budget = (self.byte_budget is not None
+                       and self.total_bytes > self.byte_budget)
+        if over_budget or self.retention_window is not None:
+            with self._global_lock():
+                # Protect by sequence number, not object identity: an
+                # absorb reload inside eviction replaces entry objects,
+                # and the batch must stay protected across that.
+                protect = {entry.seq for entry in new_entries}
+                evicted = self.evicted_reports
+                if self.byte_budget is not None:
+                    while (self.total_bytes > self.byte_budget
+                           and self._evict_oldest(protect)):
+                        pass
+                if self.retention_window is not None:
+                    self._apply_retention(protect)
+                self._flush_rollups()
+                if self.evicted_reports != evicted:
+                    self._write_meta()
         _COMMIT_REPORTS.inc(len(new_entries))
         return new_entries
 
@@ -844,6 +919,10 @@ class ReportStore:
                 return True
             victim = current
             self._entries.remove(victim)
+            bucket = self._by_digest[victim.digest]
+            bucket.remove(victim)
+            if not bucket:
+                del self._by_digest[victim.digest]
             self.total_bytes -= victim.byte_size
             self.evicted_reports += 1
             self.evicted_bytes += victim.byte_size
@@ -911,11 +990,17 @@ class ReportStore:
         """Stored reports in ingest order (optionally one signature's)."""
         if digest is None:
             return list(self._entries)
-        return [entry for entry in self._entries if entry.digest == digest]
+        return list(self._by_digest.get(digest, ()))
+
+    def entries_by_digest(self) -> "dict[str, list[StoredEntry]]":
+        """Stored reports grouped by signature digest, each group in
+        ingest order (kept as commits land: no pass over the store)."""
+        return {digest: list(group)
+                for digest, group in self._by_digest.items()}
 
     def signatures(self) -> list[str]:
         """Distinct signature digests with resident reports."""
-        return sorted({entry.digest for entry in self._entries})
+        return sorted(self._by_digest)
 
     def entries_in_token_ranges(self, ranges) -> list[StoredEntry]:
         """Stored reports whose *route digest* falls in any of the

@@ -20,6 +20,7 @@ representative (which needs a resident blob) degrades.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.analysis.report import Table, format_bytes
 from repro.fleet.store import ReportStore, StoredEntry
@@ -32,6 +33,7 @@ class Bucket:
     digest: str
     fault_kind: str
     program_name: str
+    #: Resident reports, in ingest (seq) order.
     entries: list[StoredEntry] = field(default_factory=list)
     #: Evicted occurrences folded in from the store's rollups — the
     #: part of the bucket's history whose blobs no longer exist.
@@ -50,21 +52,21 @@ class Bucket:
 
     @property
     def first_seen(self) -> int:
-        seen = [entry.observed_at for entry in self.entries]
+        seen = list(map(attrgetter("observed_at"), self.entries))
         if self.rollup is not None:
             seen.append(self.rollup.get("first_seen", 0))
         return min(seen)
 
     @property
     def last_seen(self) -> int:
-        seen = [entry.observed_at for entry in self.entries]
+        seen = list(map(attrgetter("observed_at"), self.entries))
         if self.rollup is not None:
             seen.append(self.rollup.get("last_seen", 0))
         return max(seen)
 
     @property
     def bytes_stored(self) -> int:
-        return sum(entry.byte_size for entry in self.entries)
+        return sum(map(attrgetter("byte_size"), self.entries))
 
     @property
     def racy(self) -> bool:
@@ -79,9 +81,8 @@ class Bucket:
     @property
     def race_pcs(self) -> tuple[int, ...]:
         """PCs of the racing remote stores this bucket is keyed on."""
-        pcs: set[int] = set()
-        for entry in self.entries:
-            pcs.update(entry.race_pcs)
+        pcs: set[int] = set().union(*map(attrgetter("race_pcs"),
+                                         self.entries))
         if self.rollup is not None:
             pcs.update(self.rollup.get("race_pcs", ()))
         return tuple(sorted(pcs))
@@ -94,9 +95,8 @@ class Bucket:
         survives."""
         if not self.entries:
             return None
-        return min(
-            self.entries, key=lambda entry: (-entry.replay_window, entry.seq)
-        )
+        # max() keeps the first of equal windows: the lowest seq.
+        return max(self.entries, key=attrgetter("replay_window"))
 
     @property
     def rank_key(self):
@@ -106,6 +106,7 @@ class Bucket:
     def to_dict(self) -> dict:
         """JSON-friendly rendering (the ``bugnet triage --json`` shape)."""
         rep = self.representative
+        race_pcs = self.race_pcs
         return {
             "signature": self.digest,
             "program": self.program_name,
@@ -116,8 +117,8 @@ class Bucket:
             "first_seen": self.first_seen,
             "last_seen": self.last_seen,
             "bytes_stored": self.bytes_stored,
-            "racy": self.racy,
-            "race_pcs": list(self.race_pcs),
+            "racy": bool(race_pcs),
+            "race_pcs": list(race_pcs),
             "representative": None if rep is None else {
                 "seq": rep.seq,
                 "shard": rep.shard,
@@ -136,16 +137,12 @@ def build_buckets(store: ReportStore,
     total count and recency — a bucket may even be rollup-only, with no
     resident representative left to open.
     """
-    buckets: dict[str, Bucket] = {}
-    for entry in store.entries():
-        bucket = buckets.get(entry.digest)
-        if bucket is None:
-            bucket = buckets[entry.digest] = Bucket(
-                digest=entry.digest,
-                fault_kind=entry.fault_kind,
-                program_name=entry.program_name,
-            )
-        bucket.entries.append(entry)
+    buckets = {
+        digest: Bucket(digest=digest, fault_kind=entries[0].fault_kind,
+                       program_name=entries[0].program_name,
+                       entries=entries)
+        for digest, entries in store.entries_by_digest().items()
+    }
     if include_rollups:
         for digest, slot in store.rollups().items():
             bucket = buckets.get(digest)

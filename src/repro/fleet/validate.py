@@ -112,6 +112,26 @@ class ValidatedReport:
     #: compute the identical key from the raw blob.
     route_key: str = ""
 
+    def commit_item(self, upload_id: str = "",
+                    preimage: bool = False) -> dict:
+        """The :meth:`ReportStore.add_many` item that commits this
+        report; with *preimage*, the rest of the signature preimage
+        rides along for the store to persist (what an admit cache is
+        rebuilt from)."""
+        signature = self.signature
+        item = {
+            "digest": signature.digest, "blob": self.blob,
+            "replay_window": self.instructions,
+            "fault_kind": self.fault_kind,
+            "program_name": self.program_name,
+            "observed_at": self.observed_at, "upload_id": upload_id,
+            "race_pcs": signature.race_pcs, "route_key": self.route_key,
+        }
+        if preimage:
+            item["fault_pc"] = signature.fault_pc
+            item["tail_pcs"] = signature.tail_pcs
+        return item
+
 
 def route_key_of_blob(blob: bytes) -> "str | None":
     """Cluster ring routing digest of a raw report blob, or None when

@@ -14,18 +14,31 @@ The contracts pinned here keep the admission shortcut honest:
   integrity cross-check (its lie is in the *tail*, not the fields the
   blob itself witnesses) is caught by the sampled re-validation; the
   bucket quarantines, its entries evict, and re-admission is refused.
-- **Persistence**: flock-guarded read-merge-write, so concurrent
-  writers union rather than clobber, and restarts resume warm.
+- **Persistence**: derived from the store — entries come back from
+  the committed preimages on reopen (or when the store absorbs another
+  writer's commits), only quarantines have a log of their own, and a
+  corrupt, torn or killed-mid-write log is a cold start, not a crash.
 """
 
-import json
+import hashlib
+import itertools
+import multiprocessing
+import os
+import signal
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.common.config import BugNetConfig
-from repro.fleet.admitcache import AdmitCache, CachedOutcome, blob_fingerprint
+from repro.fleet.admitcache import (
+    QUARANTINE_FILE,
+    AdmitCache,
+    CachedOutcome,
+    blob_fingerprint,
+)
 from repro.fleet.ingest import IngestPipeline
-from repro.fleet.store import ReportStore
+from repro.fleet.store import ReportStore, _pack_preimage, _parse_preimages
 from repro.fleet.triage import build_buckets
 from repro.fleet.validate import ValidatedReport, validate_report
 from repro.forensics.autopsy import bug_suite_resolver
@@ -74,7 +87,7 @@ def _entry_key(entry):
 class TestProbeAndRecord:
     def test_cold_probe_misses_then_hits_after_record(
             self, gaim_blob, resolver, tmp_path):
-        cache = AdmitCache(tmp_path / "cache.json")
+        cache = AdmitCache(ReportStore(tmp_path / "cache"))
         assert cache.probe(gaim_blob) is None
         validated = validate_report("g", gaim_blob, None, resolver)
         assert isinstance(validated, ValidatedReport)
@@ -87,7 +100,7 @@ class TestProbeAndRecord:
 
     def test_hit_materializes_identical_validated_report(
             self, gaim_blob, resolver, tmp_path):
-        cache = AdmitCache(tmp_path / "cache.json")
+        cache = AdmitCache(ReportStore(tmp_path / "cache"))
         validated = validate_report("g", gaim_blob, None, resolver)
         cache.record(blob_fingerprint(gaim_blob), validated)
         entry = cache.probe(gaim_blob)
@@ -103,7 +116,7 @@ class TestProbeAndRecord:
         """The fingerprint covers the whole blob: a corrupt variant of
         a cached report takes the full validation path (and dies
         there), it can never ride the cache."""
-        cache = AdmitCache(tmp_path / "cache.json")
+        cache = AdmitCache(ReportStore(tmp_path / "cache"))
         validated = validate_report("g", gaim_blob, None, resolver)
         cache.record(blob_fingerprint(gaim_blob), validated)
         corrupt = bytearray(gaim_blob)
@@ -114,7 +127,7 @@ class TestProbeAndRecord:
             self, gaim_blob, resolver, tmp_path):
         """An entry whose claims disagree with the blob's own header is
         dropped and counted, never trusted."""
-        cache = AdmitCache(tmp_path / "cache.json")
+        cache = AdmitCache(ReportStore(tmp_path / "cache"))
         validated = validate_report("g", gaim_blob, None, resolver)
         entry = CachedOutcome.from_validated(
             blob_fingerprint(gaim_blob), validated)
@@ -136,7 +149,7 @@ class TestProbeAndRecord:
         assert len(cache) == 0  # dropped, not retained
 
     def test_lru_capacity_bound(self, mt_blobs, resolver, tmp_path):
-        cache = AdmitCache(tmp_path / "cache.json", capacity=2)
+        cache = AdmitCache(ReportStore(tmp_path / "cache"), capacity=2)
         for name in MT_SUITE[:3]:
             validated = validate_report(name, mt_blobs[name], None, resolver)
             assert isinstance(validated, ValidatedReport), name
@@ -205,8 +218,7 @@ class TestEquivalence:
         cached_store = ReportStore(tmp_path / "cached", num_shards=4)
         cached = IngestPipeline(
             cached_store, resolver,
-            admit_cache=AdmitCache(tmp_path / "cache.json",
-                                   reverify_fraction=0.0),
+            admit_cache=AdmitCache(cached_store, reverify_fraction=0.0),
         )
         cached_results = cached.ingest_many(items)
 
@@ -230,21 +242,22 @@ class TestEquivalence:
                 == [b.to_dict() for b in cached_buckets])
 
     def test_warm_restart_equivalence(self, mt_blobs, resolver, tmp_path):
-        """Second batch in a *new* pipeline (cache warm from disk):
-        still identical to full validation."""
+        """Second batch in a *new* pipeline (cache rebuilt from the
+        store): still identical to full validation."""
         items = self._traffic(mt_blobs)
-        cache_path = tmp_path / "cache.json"
 
         warm_store = ReportStore(tmp_path / "warm", num_shards=4)
         first = IngestPipeline(
             warm_store, resolver,
-            admit_cache=AdmitCache(cache_path, reverify_fraction=0.0))
+            admit_cache=AdmitCache(warm_store, reverify_fraction=0.0))
         first.ingest_many(items)
 
-        # Restarted consumer, same cache file: everything now hits.
+        # Restarted consumer, cache rebuilt from the store reopened
+        # from disk: everything now hits.
         second = IngestPipeline(
             warm_store, resolver,
-            admit_cache=AdmitCache(cache_path, reverify_fraction=0.0))
+            admit_cache=AdmitCache(ReportStore(tmp_path / "warm"),
+                                   reverify_fraction=0.0))
         again = second.ingest_many(items)
         assert all(result.accepted for result in again)
         assert second.cache_hits == len(items)
@@ -261,15 +274,15 @@ class TestEquivalence:
 class TestReverifyDeterminism:
     def test_sample_identical_across_restarts_and_nodes(self, tmp_path):
         """(seed, fingerprint, upload_id) fully determines membership:
-        a restarted cache (same path) and a cluster peer (different
-        path, same seed) draw the identical sample."""
+        a restarted cache (same store) and a cluster peer (different
+        store, same seed) draw the identical sample."""
         draws = [(blob_fingerprint(f"blob-{i}".encode()), f"upload-{i}")
                  for i in range(200)]
-        first = AdmitCache(tmp_path / "a.json", seed=7,
+        first = AdmitCache(ReportStore(tmp_path / "a"), seed=7,
                            reverify_fraction=0.1)
-        restarted = AdmitCache(tmp_path / "a.json", seed=7,
+        restarted = AdmitCache(ReportStore(tmp_path / "a"), seed=7,
                                reverify_fraction=0.1)
-        peer = AdmitCache(tmp_path / "b" / "peer.json", seed=7,
+        peer = AdmitCache(ReportStore(tmp_path / "b" / "peer"), seed=7,
                           reverify_fraction=0.1)
         sample = [first.should_reverify(fp, up) for fp, up in draws]
         assert sample == [restarted.should_reverify(fp, up)
@@ -282,15 +295,15 @@ class TestReverifyDeterminism:
     def test_seed_changes_the_sample(self, tmp_path):
         draws = [(blob_fingerprint(f"blob-{i}".encode()), f"upload-{i}")
                  for i in range(200)]
-        a = AdmitCache(tmp_path / "a.json", seed=0, reverify_fraction=0.1)
-        b = AdmitCache(tmp_path / "b.json", seed=1, reverify_fraction=0.1)
+        a = AdmitCache(ReportStore(tmp_path / "a"), seed=0, reverify_fraction=0.1)
+        b = AdmitCache(ReportStore(tmp_path / "b"), seed=1, reverify_fraction=0.1)
         assert ([a.should_reverify(fp, up) for fp, up in draws]
                 != [b.should_reverify(fp, up) for fp, up in draws])
 
     def test_fraction_extremes(self, tmp_path):
-        cache = AdmitCache(tmp_path / "c.json", reverify_fraction=0.0)
+        cache = AdmitCache(ReportStore(tmp_path / "c"), reverify_fraction=0.0)
         assert not cache.should_reverify("f" * 64, "u")
-        always = AdmitCache(tmp_path / "d.json", reverify_fraction=1.0)
+        always = AdmitCache(ReportStore(tmp_path / "d"), reverify_fraction=1.0)
         assert always.should_reverify("f" * 64, "u")
 
 
@@ -316,7 +329,7 @@ class TestQuarantine:
 
     def test_poisoned_entry_survives_probe_but_reverify_quarantines(
             self, gaim_blob, resolver, tmp_path):
-        cache = AdmitCache(tmp_path / "cache.json", reverify_fraction=1.0)
+        cache = AdmitCache(ReportStore(tmp_path / "cache"), reverify_fraction=1.0)
         validated = validate_report("g", gaim_blob, None, resolver)
         honest = CachedOutcome.from_validated(
             blob_fingerprint(gaim_blob), validated)
@@ -352,8 +365,8 @@ class TestQuarantine:
 
     def test_quarantine_persists_across_restart(self, gaim_blob, resolver,
                                                 tmp_path):
-        path = tmp_path / "cache.json"
-        cache = AdmitCache(path, reverify_fraction=1.0)
+        path = tmp_path / "store"
+        cache = AdmitCache(ReportStore(path), reverify_fraction=1.0)
         validated = validate_report("g", gaim_blob, None, resolver)
         honest = CachedOutcome.from_validated(
             blob_fingerprint(gaim_blob), validated)
@@ -361,7 +374,7 @@ class TestQuarantine:
         cache.seed_entry(poisoned)
         cache.reverify_outcome(poisoned, validated)
 
-        reborn = AdmitCache(path, reverify_fraction=1.0)
+        reborn = AdmitCache(ReportStore(path), reverify_fraction=1.0)
         assert poisoned.digest in reborn.quarantined
         assert reborn.probe(gaim_blob) is None
         assert reborn.record(blob_fingerprint(gaim_blob), ValidatedReport(
@@ -372,32 +385,32 @@ class TestQuarantine:
             route_key=poisoned.route_key)) is None
 
     def test_pipeline_reverify_catches_poison_end_to_end(
-            self, gaim_blob, resolver, tmp_path):
+            self, mt_blobs, resolver, tmp_path):
         """The full drill the CI smoke job runs: seed the cache
-        honestly, poison the persisted file, re-upload with the sample
-        forced on — the poisoned bucket quarantines and the upload
-        still commits with the *correct* (re-validated) signature."""
-        cache_path = tmp_path / "cache.json"
+        honestly, poison the store-held preimage, restart and re-upload
+        with the sample forced on — the poisoned bucket quarantines and
+        the upload still commits with the *correct* (re-validated)
+        signature.  The report is race-free: a race-keyed digest hashes
+        the index record's race PCs, not the preimage log's tail."""
+        blob = mt_blobs["python-2.1.1-2"]
         store = ReportStore(tmp_path / "store", num_shards=2)
         seeder = IngestPipeline(
             store, resolver,
-            admit_cache=AdmitCache(cache_path, reverify_fraction=0.0))
-        first = seeder.ingest_many([("orig", gaim_blob, 0)])
+            admit_cache=AdmitCache(store, reverify_fraction=0.0))
+        first = seeder.ingest_many([("orig", blob, 0)])
         assert first[0].accepted
+        assert not first[0].signature.race_pcs
         true_digest = first[0].digest
 
-        # Poison the persisted entry's tail out-of-band.
-        data = json.loads(cache_path.read_text())
-        assert len(data["entries"]) == 1
-        data["entries"][0]["race_pcs"] = [
-            pc + 1 for pc in data["entries"][0]["race_pcs"]]
-        cache_path.write_text(json.dumps(data))
+        # Poison the persisted preimage's tail out-of-band.
+        assert _poison_preimages(tmp_path / "store") == 1
 
+        restarted = ReportStore(tmp_path / "store")
         pipeline = IngestPipeline(
-            store, resolver,
-            admit_cache=AdmitCache(cache_path, reverify_fraction=1.0))
+            restarted, resolver,
+            admit_cache=AdmitCache(restarted, reverify_fraction=1.0))
         before = _counter("bugnet_admit_quarantine_total")
-        results = pipeline.ingest_many([("dup", gaim_blob, 1)])
+        results = pipeline.ingest_many([("dup", blob, 1)])
         assert results[0].accepted
         assert results[0].digest == true_digest  # full replay won
         assert pipeline.reverified == 1
@@ -405,47 +418,120 @@ class TestQuarantine:
         assert pipeline.admit_cache.quarantined  # bucket banned
 
 
+def _poison_preimages(root) -> int:
+    """Bump every tail PC in a store's preimage logs — the evidence the
+    probe cannot see — and return the number of records poisoned."""
+    poisoned = 0
+    for path in sorted(Path(root).glob("shard-*/preimages.bin")):
+        data = path.read_bytes()
+        records, _end = _parse_preimages(data[8:])
+        path.write_bytes(data[:8] + b"".join(
+            _pack_preimage(digest, fault_pc, tuple(pc + 1 for pc in tail))
+            for digest, fault_pc, tail in records))
+        poisoned += len(records)
+    return poisoned
+
+
+def _spin_committer(root, ack_path):
+    """Commit reports with distinct preimages until killed, appending
+    each acknowledged seq to *ack_path*."""
+    store = ReportStore(root)
+    with open(ack_path, "a", buffering=1) as acks:
+        for index in itertools.count():
+            entry = store.add(
+                hashlib.sha256(b"%d" % index).hexdigest(), os.urandom(64),
+                upload_id=f"k-{index}", fault_pc=index,
+                tail_pcs=tuple(range(index % 13)))
+            acks.write(f"{entry.seq}\n")
+
+
 class TestPersistence:
+    """The cache persists nothing but quarantines: its entries come
+    back from the store's committed preimages."""
+
+    def _pipeline(self, root, resolver, **cache_options):
+        store = ReportStore(root, num_shards=1)
+        return IngestPipeline(store, resolver, admit_cache=AdmitCache(
+            store, reverify_fraction=0.0, **cache_options))
+
     def test_concurrent_writers_union_not_clobber(self, gaim_blob,
                                                   mt_blobs, resolver,
                                                   tmp_path):
-        path = tmp_path / "cache.json"
-        a = AdmitCache(path)
-        b = AdmitCache(path)
-        validated_a = validate_report("a", gaim_blob, None, resolver)
+        """Two writers on one store: a reopen warms from both."""
         blob_b = mt_blobs["python-2.1.1-2"]
-        validated_b = validate_report("b", blob_b, None, resolver)
-        a.record(blob_fingerprint(gaim_blob), validated_a)
-        b.record(blob_fingerprint(blob_b), validated_b)
-        a.flush()
-        b.flush()  # read-merge-write: must keep a's entry
-        merged = AdmitCache(path)
+        a = self._pipeline(tmp_path, resolver)
+        b = self._pipeline(tmp_path, resolver)
+        assert a.ingest_many([("a", gaim_blob, None)])[0].accepted
+        assert b.ingest_many([("b", blob_b, None)])[0].accepted
+        merged = AdmitCache(ReportStore(tmp_path))
         assert merged.probe(gaim_blob) is not None
         assert merged.probe(blob_b) is not None
 
-    def test_mtime_pickup_of_foreign_writes(self, gaim_blob, resolver,
-                                            tmp_path):
-        import os
-
-        path = tmp_path / "cache.json"
-        reader = AdmitCache(path)
-        assert reader.probe(gaim_blob) is None
-        writer = AdmitCache(path)
-        validated = validate_report("w", gaim_blob, None, resolver)
-        writer.record(blob_fingerprint(gaim_blob), validated)
-        writer.flush()
-        # Force an mtime difference (same-second writes can tie).
-        stat = path.stat()
-        os.utime(path, (stat.st_atime, stat.st_mtime + 1))
-        assert reader.probe(gaim_blob) is not None
+    def test_absorb_pickup_of_foreign_writes(self, gaim_blob, mt_blobs,
+                                             resolver, tmp_path):
+        """Another writer's commit reaches this cache when this store
+        absorbs it — on its own next commit to the shard."""
+        reader = self._pipeline(tmp_path, resolver)
+        writer = self._pipeline(tmp_path, resolver)
+        assert writer.ingest_many([("w", gaim_blob, None)])[0].accepted
+        assert reader.admit_cache.probe(gaim_blob) is None  # not absorbed
+        blob = mt_blobs["python-2.1.1-2"]
+        assert reader.ingest_many([("r", blob, None)])[0].accepted
+        assert reader.admit_cache.probe(gaim_blob) is not None
 
     def test_corrupt_cache_file_is_cold_start_not_crash(self, gaim_blob,
+                                                        resolver,
                                                         tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{ not json")
-        cache = AdmitCache(path)
-        assert len(cache) == 0
-        assert cache.probe(gaim_blob) is None
+        """Garbage or a torn tail in the preimage log, garbage in the
+        quarantine log: the cache opens cold and the next commit
+        repairs the preimage log."""
+        first = self._pipeline(tmp_path, resolver)
+        assert first.ingest_many([("g", gaim_blob, None)])[0].accepted
+        log = tmp_path / "shard-00" / "preimages.bin"
+        intact = log.read_bytes()
+        (tmp_path / QUARANTINE_FILE).write_bytes(b"\x00garbage\nzz")
+        for damaged in (intact[:-3], b"not a preimage log", b"BG"):
+            log.write_bytes(damaged)
+            cache = AdmitCache(ReportStore(tmp_path))
+            assert len(cache) == 0
+            assert not cache.quarantined
+            assert cache.probe(gaim_blob) is None
+        again = self._pipeline(tmp_path, resolver)
+        assert again.ingest_many([("g2", gaim_blob, None)])[0].accepted
+        assert log.read_bytes() == intact  # rewritten whole
+        assert AdmitCache(ReportStore(tmp_path)).probe(gaim_blob) is not None
+
+    def test_sigkill_mid_commit_leaves_no_half_preimage(self, tmp_path):
+        """SIGKILL a committing writer: its preimage log ends on a
+        record boundary and holds the preimage of every acked report."""
+        ReportStore(tmp_path, num_shards=2)
+        ack_path = tmp_path / "acks.txt"
+        ctx = multiprocessing.get_context("fork")
+        proc = ctx.Process(target=_spin_committer,
+                           args=(str(tmp_path), str(ack_path)))
+        proc.start()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if ack_path.exists() and len(ack_path.read_text().split()) >= 40:
+                break
+            time.sleep(0.01)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=30)
+        acked = {int(line) for line in ack_path.read_text().split()}
+        assert len(acked) >= 40
+        logged = {}
+        for log in tmp_path.glob("shard-*/preimages.bin"):
+            data = log.read_bytes()
+            records, end = _parse_preimages(data[8:])
+            assert 8 + end == len(data), "half-written preimage record"
+            logged.update({digest: (fault_pc, tail)
+                           for digest, fault_pc, tail in records})
+        reopened = ReportStore(tmp_path)
+        for entry in reopened.entries():
+            if entry.seq in acked:
+                index = int(entry.upload_id.split("-")[1])
+                assert logged[entry.digest] == (index,
+                                                tuple(range(index % 13)))
 
 
 class TestIntraBatchDedup:
@@ -454,8 +540,7 @@ class TestIntraBatchDedup:
         store = ReportStore(tmp_path / "store", num_shards=2)
         pipeline = IngestPipeline(
             store, resolver,
-            admit_cache=AdmitCache(tmp_path / "cache.json",
-                                   reverify_fraction=0.0))
+            admit_cache=AdmitCache(store, reverify_fraction=0.0))
         results = pipeline.ingest_many([
             ("one", gaim_blob, 0),
             ("two", gaim_blob, 1),
@@ -471,8 +556,7 @@ class TestIntraBatchDedup:
         store = ReportStore(tmp_path / "store", num_shards=2)
         pipeline = IngestPipeline(
             store, resolver,
-            admit_cache=AdmitCache(tmp_path / "cache.json",
-                                   reverify_fraction=0.0))
+            admit_cache=AdmitCache(store, reverify_fraction=0.0))
         bogus = b"BGNT" + b"\x00" * 64
         results = pipeline.ingest_many([
             ("one", bogus, 0),

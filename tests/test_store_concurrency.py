@@ -350,10 +350,14 @@ class TestBatchedCommits:
             for i in range(10)
         ])
         assert [entry.seq for entry in entries] == list(range(10))
+        # The seq file is the authoritative counter; store.json stays
+        # off the commit path (written on creation/eviction/config only).
+        assert int((tmp_path / "seq").read_bytes()) == 10
         meta = json.loads((tmp_path / "store.json").read_text())
-        assert meta["next_seq"] == 10
+        assert meta["next_seq"] == 0
         reopened = ReportStore(tmp_path)
         assert len(reopened) == 10
+        assert reopened.add(digest_of("next"), b"n").seq == 10
 
     def test_add_many_protects_whole_batch_from_eviction(self, tmp_path):
         store = ReportStore(tmp_path, num_shards=2, byte_budget=250)
